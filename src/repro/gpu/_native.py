@@ -141,69 +141,103 @@ static int lru_touch(i64 line, int wr, i64 *lines, uint8_t *dirty,
     return 0;
 }
 
-/* Stamp-based LRU mirror for the fused texture walk below.  The reference
-   model keeps each set's lines MRU-first and memmoves on every touch —
-   O(ways) per access, which dominates once a frame issues tens of
-   millions of texture probes.  The mirror stores a monotonically
-   increasing recency stamp per way instead and finds lines through an
-   open-addressing hash (multiplicative hashing, linear probing,
-   backshift deletion), making a hit O(1).  Stamps are a total order over
-   touches, so "evict the minimum stamp in the set" is exactly the
-   reference's evict-the-tail, and sorting a set's ways by descending
-   stamp rebuilds the reference's MRU-first export layout bit for bit.
-   Texture streams never write, so the dirty array is never touched and
-   (being all-clear for a read-only cache) needs no reordering. */
-enum { TC_SLOTS = 4096, TC_HASH = 16384 };
-
+/* Exact-LRU mirror for the texture walk below.  The reference model keeps
+   each set's lines MRU-first (Cache._sets; exported MRU-first per set) and
+   pays O(ways) per touch.  The mirror threads an intrusive doubly linked
+   recency list through each set's way slots (head = MRU, next runs toward
+   the LRU tail) and finds a line's slot through an open-addressing hash
+   (Fibonacci hashing, linear probing, backshift deletion).  A hit unlinks
+   its slot and relinks it at the head; a miss fills a free slot or, in a
+   full set, reuses the tail slot — the reference's evict-the-tail — so
+   every access is O(1).  Walking each list from its head rebuilds the
+   reference's MRU-first layout bit for bit.  All state is one heap block
+   sized from the geometry, so any cache shape runs.  Texture streams
+   never write: dirty bits stay clear and evictions never write back. */
 typedef struct {
-    i64 *wline;        /* line per way slot, nsets*ways */
-    uint64_t *wstamp;  /* recency stamp per way slot */
-    i64 *sizes;        /* per-set fill counts (the caller's array, in place) */
-    i64 *hkey;         /* open-addressing hash: line -> way slot */
-    int32_t *hval;
-    i64 hmask;
-    i64 nsets, ways;
-    uint64_t ctr;
-} stampcache;
+    i64 *line, *prev, *next;   /* per way slot, nsets*ways */
+    i64 *head, *tail;          /* per set MRU / LRU slot, -1 when empty */
+    i64 *sizes;                /* the caller's per-set fill counts, in place */
+    i64 *hkey, *hval;          /* line -> slot, hkey -1 = empty */
+    i64 hmask, nsets, ways, smask;
+    int hshift;
+    i64 *mem;
+} tc_lru;
 
-static inline i64 tc_hash(const stampcache *C, i64 line)
+static inline i64 tc_hash(const tc_lru *C, i64 line)
 {
-    return (i64)(((uint64_t)line * 0x9E3779B97F4A7C15ull) >> 32) & C->hmask;
+    return (i64)(((uint64_t)line * 0x9E3779B97F4A7C15ull) >> C->hshift);
 }
 
-static void tc_init(stampcache *C, i64 *wline, uint64_t *wstamp,
-                    i64 *hkey, int32_t *hval, i64 hcap,
-                    const i64 *lines, i64 *sizes, i64 nsets, i64 ways)
+/* Set index of a (nonnegative) line: a mask for power-of-two set counts. */
+static inline i64 tc_set(const tc_lru *C, i64 line)
 {
-    C->wline = wline;
-    C->wstamp = wstamp;
+    if (C->smask >= 0) return line & C->smask;
+    return line % C->nsets;
+}
+
+static inline void tc_unlink(tc_lru *C, i64 s, i64 slot)
+{
+    i64 p = C->prev[slot], nx = C->next[slot];
+    if (p >= 0) C->next[p] = nx; else C->head[s] = nx;
+    if (nx >= 0) C->prev[nx] = p; else C->tail[s] = p;
+}
+
+static inline void tc_push(tc_lru *C, i64 s, i64 slot)
+{
+    i64 hd = C->head[s];
+    C->prev[slot] = -1;
+    C->next[slot] = hd;
+    if (hd >= 0) C->prev[hd] = slot; else C->tail[s] = slot;
+    C->head[s] = slot;
+}
+
+static inline void tc_hput(tc_lru *C, i64 line, i64 slot)
+{
+    i64 h = tc_hash(C, line);
+    while (C->hkey[h] != -1) h = (h + 1) & C->hmask;
+    C->hkey[h] = line;
+    C->hval[h] = slot;
+}
+
+/* Import MRU-first lines[]/sizes[]; returns -1 when out of memory. */
+static int tc_init(tc_lru *C, const i64 *lines, i64 *sizes,
+                   i64 nsets, i64 ways)
+{
+    i64 slots = nsets * ways, hcap = 64;
+    int bits = 6;
+    while (hcap < 4 * slots) { hcap <<= 1; bits++; }
+    C->mem = malloc((size_t)(3 * slots + 2 * nsets + 2 * hcap) * sizeof(i64));
+    if (C->mem == NULL) return -1;
+    C->line = C->mem;
+    C->prev = C->line + slots;
+    C->next = C->prev + slots;
+    C->head = C->next + slots;
+    C->tail = C->head + nsets;
+    C->hkey = C->tail + nsets;
+    C->hval = C->hkey + hcap;
     C->sizes = sizes;
-    C->hkey = hkey;
-    C->hval = hval;
     C->hmask = hcap - 1;
+    C->hshift = 64 - bits;
     C->nsets = nsets;
     C->ways = ways;
-    /* Initial stamps are 1..size per set (MRU-first input, index 0 is the
-       newest); starting the counter at ways keeps every future touch
-       strictly newer than every imported line. */
-    C->ctr = (uint64_t)ways;
-    for (i64 i = 0; i < hcap; i++) hkey[i] = -1;
+    C->smask = (nsets & (nsets - 1)) == 0 ? nsets - 1 : -1;
+    for (i64 h = 0; h < hcap; h++) C->hkey[h] = -1;
     for (i64 s = 0; s < nsets; s++) {
-        i64 size = sizes[s];
+        i64 base = s * ways, size = sizes[s];
+        C->head[s] = size > 0 ? base : -1;
+        C->tail[s] = size > 0 ? base + size - 1 : -1;
         for (i64 i = 0; i < size; i++) {
-            i64 slot = s * ways + i;
-            i64 line = lines[slot];
-            wline[slot] = line;
-            wstamp[slot] = (uint64_t)(size - i);
-            i64 h = tc_hash(C, line);
-            while (hkey[h] != -1) h = (h + 1) & C->hmask;
-            hkey[h] = line;
-            hval[h] = (int32_t)slot;
+            i64 slot = base + i;
+            C->line[slot] = lines[slot];
+            C->prev[slot] = i > 0 ? slot - 1 : -1;
+            C->next[slot] = i + 1 < size ? slot + 1 : -1;
+            tc_hput(C, lines[slot], slot);
         }
     }
+    return 0;
 }
 
-static void tc_hdel(stampcache *C, i64 line)
+static void tc_hdel(tc_lru *C, i64 line)
 {
     i64 mask = C->hmask;
     i64 pos = tc_hash(C, line);
@@ -222,230 +256,308 @@ static void tc_hdel(stampcache *C, i64 line)
     C->hkey[hole] = -1;
 }
 
-/* One read access; returns 1 on hit.  Mirrors lru_touch for a
-   never-written stream: dirty state cannot change and evictions never
-   write back. */
-static int tc_access(stampcache *C, i64 line)
+/* One read access (Cache.access_line with write=False); returns 1 on hit. */
+static inline int tc_access(tc_lru *C, i64 line)
 {
-    i64 mask = C->hmask;
+    i64 s = tc_set(C, line);
+    i64 hd = C->head[s];
+    if (hd >= 0 && C->line[hd] == line) return 1;    /* MRU hit: no relink */
     i64 h = tc_hash(C, line);
-    while (C->hkey[h] != -1) {
-        if (C->hkey[h] == line) {
-            C->wstamp[C->hval[h]] = ++C->ctr;
+    for (;;) {
+        i64 key = C->hkey[h];
+        if (key == line) {
+            i64 slot = C->hval[h];
+            tc_unlink(C, s, slot);
+            tc_push(C, s, slot);
             return 1;
         }
-        h = (h + 1) & mask;
+        if (key == -1) break;
+        h = (h + 1) & C->hmask;
     }
-    i64 s = C->nsets > 1 ? line % C->nsets : 0;
-    i64 base = s * C->ways;
     i64 slot;
     if (C->sizes[s] < C->ways) {
-        slot = base + C->sizes[s]++;
+        slot = s * C->ways + C->sizes[s]++;
+        C->hkey[h] = line;              /* h is the probe's empty slot */
+        C->hval[h] = slot;
     } else {
-        slot = base;
-        uint64_t mn = C->wstamp[base];
-        for (i64 i = 1; i < C->ways; i++)
-            if (C->wstamp[base + i] < mn) {
-                mn = C->wstamp[base + i];
-                slot = base + i;
-            }
-        tc_hdel(C, C->wline[slot]);
-        h = tc_hash(C, line);           /* the hole may have moved */
-        while (C->hkey[h] != -1) h = (h + 1) & mask;
+        slot = C->tail[s];
+        tc_unlink(C, s, slot);
+        tc_hdel(C, C->line[slot]);
+        tc_hput(C, line, slot);         /* the deletion may move the hole */
     }
-    C->hkey[h] = line;
-    C->hval[h] = (int32_t)slot;
-    C->wline[slot] = line;
-    C->wstamp[slot] = ++C->ctr;
+    C->line[slot] = line;
+    tc_push(C, s, slot);
     return 0;
 }
 
 /* Write the mirror back as the reference's MRU-first per-set layout. */
-static void tc_export(stampcache *C, i64 *lines)
+static void tc_export(tc_lru *C, i64 *lines)
 {
     for (i64 s = 0; s < C->nsets; s++) {
-        i64 base = s * C->ways, size = C->sizes[s];
-        for (i64 i = 0; i < size; i++) {   /* selection sort; ways are small */
-            i64 best = i;
-            for (i64 j = i + 1; j < size; j++)
-                if (C->wstamp[base + j] > C->wstamp[base + best]) best = j;
-            if (best != i) {
-                i64 tl = C->wline[base + i];
-                uint64_t ts = C->wstamp[base + i];
-                C->wline[base + i] = C->wline[base + best];
-                C->wstamp[base + i] = C->wstamp[base + best];
-                C->wline[base + best] = tl;
-                C->wstamp[base + best] = ts;
-            }
-            lines[base + i] = C->wline[base + i];
-        }
+        i64 i = s * C->ways;
+        for (i64 slot = C->head[s]; slot >= 0; slot = C->next[slot])
+            lines[i++] = C->line[slot];
     }
+    free(C->mem);
+    C->mem = NULL;
 }
 
-/* Fused texture-request pass: the whole per-draw loop of
-   TextureUnit._simulate_cache — probe-address generation, the L0 LRU walk,
-   and the L1 walk of the L0 miss stream — in one call with no
-   materialized address stream.  Addresses are emitted in the model's
-   exact order: for each probe index p, for each mip step, the -0.5
-   footprint corner of every lane taking that (p, step), then the +0.5
-   corner.  All float arithmetic is plain IEEE double in the exact numpy
-   evaluation order (the build must not enable contraction or fast-math),
-   so addresses are bit-identical.  Per sample: t in [-0.5, 0.5) along the
-   anisotropy axis, position u + t*du; level = min(mip0 + step, max_level);
-   texels wrap at the mip extents; the 4x4 block index is Morton-coded.
-   The collapse passes Cache.access_stream applies first (duplicate-run
-   and period-2 alternation folding) are exact no-ops on hit/miss totals
-   and LRU state, so the raw inline walk reproduces their counters bit for
-   bit; interleaving each L0 miss's L1 access into the walk is equally
-   neutral because the two caches share no state.  Texture streams never
-   write, so dirty evictions cannot occur — which is what lets both walks
-   run on the stamp-based LRU mirror above (imported up front, exported
-   back to MRU-first order at the end) instead of the memmove list.
-   bucket is caller scratch of at least sum(probes) entries: lanes are
-   bucketed per probe index up front (ascending lane order within each
-   bucket) so the sweep never scans lanes that emit nothing.
-   counts: emitted, l0 hits, l0 misses, l1 hits, l1 misses; counts[0] = -1
-   means max_probes or a cache geometry exceeded the kernel bounds and
-   nothing was touched. */
-void texcache(const double *u, const double *v,
-              const double *du, const double *dv,
-              const i64 *mip0, const i64 *probes, const i64 *mips, i64 n,
-              i64 max_probes, i64 max_level, i64 width, i64 height,
-              const i64 *mip_offsets, i64 n_offsets,
-              i64 base_address, i64 block_bytes,
-              i64 *bucket,
-              i64 *l0_lines, uint8_t *l0_dirty, i64 *l0_sizes,
-              i64 l0_nsets, i64 l0_ways,
-              i64 *l1_lines, uint8_t *l1_dirty, i64 *l1_sizes,
-              i64 l1_nsets, i64 l1_ways,
-              i64 l1_line_bytes,
-              i64 *counts)
+/* floor(x) as an integer, without a libm call: exact for every x whose
+   floor fits in an i64 (the range the (i64)floor(x) cast covers). */
+static inline i64 tc_floor(double x)
 {
-    enum { MAXP = 64 };
-    i64 bcount[MAXP], boff[MAXP + 1], cur[MAXP];
-    i64 l0_slots = l0_nsets * l0_ways, l1_slots = l1_nsets * l1_ways;
-    if (max_probes > MAXP || l0_slots > TC_SLOTS || l1_slots > TC_SLOTS) {
-        counts[0] = -1;
-        return;
-    }
-    (void)l0_dirty;
-    (void)l1_dirty;
-    i64 wline0[TC_SLOTS], wline1[TC_SLOTS];
-    uint64_t wstamp0[TC_SLOTS], wstamp1[TC_SLOTS];
-    i64 hkey0[TC_HASH], hkey1[TC_HASH];
-    int32_t hval0[TC_HASH], hval1[TC_HASH];
-    i64 hcap0 = 64, hcap1 = 64;
-    while (hcap0 < 4 * l0_slots) hcap0 <<= 1;
-    while (hcap1 < 4 * l1_slots) hcap1 <<= 1;
-    /* Hoisted per-(lane, step) mip constants — lvl, pitch and extents
-       depend only on the lane's base level and the step, not on the probe
-       or corner, so computing them per emission wastes most of the walk.
-       hoff folds base_address + mip_offsets[oi] into one addend.  hinv
-       and hhp (0.5 * pitch; the - corner negates it, which is exact) feed
-       the identical float expressions, so addresses are unchanged. */
-    double *scratch = malloc((size_t)n * 6 * sizeof(double));
-    if (scratch == NULL) { counts[0] = -1; return; }
-    double *hinv = scratch;            /* n*2 */
-    double *hhp = scratch + n * 2;     /* n*2 */
-    double *tpu = scratch + n * 4;     /* n: per-probe sample u */
-    double *tpv = scratch + n * 5;     /* n: per-probe sample v */
-    i64 *iscratch = malloc((size_t)n * 6 * sizeof(i64));
-    if (iscratch == NULL) { free(scratch); counts[0] = -1; return; }
-    i64 *hw = iscratch;                /* n*2 */
-    i64 *hh = iscratch + n * 2;        /* n*2 */
-    i64 *hoff = iscratch + n * 4;      /* n*2 */
+    i64 t = (i64)x;
+    return (double)t > x ? t - 1 : t;
+}
+
+/* part16 by table: tc_spread[b] holds byte b's bits in the even bit
+   slots.  Filled once when the library is loaded. */
+static uint32_t tc_spread[256];
+
+__attribute__((constructor)) static void tc_spread_init(void)
+{
+    for (int b = 0; b < 256; b++)
+        tc_spread[b] = (uint32_t)part16((uint64_t)b);
+}
+
+static inline uint64_t tc_part16(uint64_t x)
+{
+    return tc_spread[x & 255] | ((uint64_t)tc_spread[(x >> 8) & 255] << 16);
+}
+
+/* Per mip level addressing constants, built once per call and indexed by
+   level = min(mip0 + step, max_level).  inv (1/pitch) and half
+   (0.5*pitch; the - corner negates it, which is exact) feed the model's
+   float expression floor((pos + corner*pitch) / pitch) unchanged — pitch
+   is a power of two, so multiplying by its reciprocal rounds exactly like
+   dividing.  wmask/hmask are extent-1 for power-of-two extents (the wrap
+   is then a mask, correct for negative texels in two's complement), else
+   -1 for a true modulo.  off folds base_address + the mip's offset. */
+typedef struct {
+    double inv, half;
+    i64 w, h, wmask, hmask, off;
+} tc_level;
+
+static inline i64 tc_wrap(i64 t, i64 mask, i64 extent)
+{
+    if (mask >= 0) return t & mask;
+    t %= extent;
+    return t < 0 ? t + extent : t;
+}
+
+/* Texture-request pass: the whole of TextureUnit._simulate_cache —
+   coverage compaction, the request and bilinear tallies, probe-address
+   generation, the L0 LRU walk, and the L1 walk of the L0 miss stream —
+   in one call with no materialized address stream.
+
+   Inputs are per lane (u, v: base-mip texel coordinates; covered: 0/1
+   per lane, NULL = every lane) and per quad (lod, mip0 = floor(lod),
+   ratio = anisotropy ratio, du/dv = the anisotropy major axis); lane i
+   belongs to quad i/4.  filter: 0 bilinear, 1 trilinear, 2 anisotropic.
+   A covered lane issues probes = (anisotropic ? ratio : 1) probes at
+   mips = 2 levels when the filter is trilinear or anisotropic, lod > 0
+   and mip0 < max_level, else 1; requests and bilinears (probes*mips)
+   tally over covered lanes.
+
+   Addresses are emitted in the model's exact order: for each probe index
+   p, for each mip step, the -0.5 footprint corner of every covered lane
+   taking that (p, step) in ascending lane order, then the +0.5 corner.
+   Per sample: t = (p + 0.5)/probes - 0.5 along the major axis, position
+   u + t*du; level = min(mip0 + step, max_level) indexes the tc_level
+   table; texels wrap at the mip extents; the 4x4 block index is
+   Morton-coded.  All float arithmetic is plain IEEE double in the numpy
+   evaluation order (the build must not enable contraction or fast-math),
+   so addresses are bit-identical.  Per (probe, step) the lanes' two
+   corner lines are generated into two buffers first, then walked in
+   order — address arithmetic and the branchy LRU walk run as separate
+   tight loops.
+
+   The collapse passes Cache.access_stream applies (duplicate-run and
+   period-2 alternation folding) are exact no-ops on hit/miss totals and
+   LRU state, so the raw walk reproduces their counters; it skips a line
+   equal to the previous one itself (that line is its set's MRU: a hit
+   that changes nothing).  Interleaving each L0 miss's L1 access into the
+   walk is equally neutral because the two caches share no state.  Both
+   caches run on the tc_lru mirror above, imported from and exported back
+   to the callers' MRU-first arrays.
+
+   counts: requests, bilinears, l0 hits, l0 misses, l1 hits, l1 misses.
+   Returns 0; -1 when a covered lane's quad has mip0 outside
+   [0, max_level] or a ratio that is not a probe count >= 1 (a non-finite
+   footprint), -2 when out of memory; either leaves the cache arrays
+   untouched. */
+int texcache(const double *u, const double *v, const uint8_t *covered,
+             i64 n,
+             const double *lod, const i64 *mip0, const double *ratio,
+             const double *du, const double *dv,
+             int filter, i64 max_level, i64 width, i64 height,
+             const i64 *mip_offsets, i64 n_offsets,
+             i64 base_address, i64 block_bytes,
+             i64 *l0_lines, i64 *l0_sizes, i64 l0_nsets, i64 l0_ways,
+             i64 *l1_lines, i64 *l1_sizes, i64 l1_nsets, i64 l1_ways,
+             i64 l1_line_bytes,
+             i64 *counts)
+{
+    int trilinear = filter != 0, aniso = filter == 2;
+    /* Validate, count the covered lanes, tally, find the probe maximum. */
+    i64 ncov = 0, bilinears = 0, max_probes = 0, nbucket = 0;
     for (i64 i = 0; i < n; i++) {
-        for (i64 step = 0; step < 2 && step < mips[i]; step++) {
-            i64 lvl = mip0[i] + step;
-            if (lvl > max_level) lvl = max_level;
-            i64 cl = lvl > 30 ? 30 : lvl;
-            double pitch = ldexp(1.0, (int)lvl);
-            i64 w = width >> cl; if (w < 1) w = 1;
-            i64 h = height >> cl; if (h < 1) h = 1;
-            i64 oi = lvl < n_offsets - 1 ? lvl : n_offsets - 1;
-            hinv[i * 2 + step] = 1.0 / pitch;
-            hhp[i * 2 + step] = 0.5 * pitch;
-            hw[i * 2 + step] = w;
-            hh[i * 2 + step] = h;
-            hoff[i * 2 + step] = base_address + mip_offsets[oi];
-        }
+        if (covered != NULL && !covered[i]) continue;
+        i64 q = i >> 2;
+        double r = aniso ? ratio[q] : 1.0;
+        if (mip0[q] < 0 || mip0[q] > max_level
+            || !(r >= 1.0 && r <= 2147483647.0))
+            return -1;
+        i64 pr = (i64)r;
+        i64 mc = trilinear && lod[q] > 0 && mip0[q] < max_level ? 2 : 1;
+        ncov++;
+        bilinears += pr * mc;
+        nbucket += pr - 1;
+        if (pr > max_probes) max_probes = pr;
     }
-    /* addr / block_bytes is a shift when block_bytes is a power of two
-       (addresses are nonnegative, so the shift is the exact quotient). */
-    i64 bshift = -1;
-    if (block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0) {
-        bshift = 0;
-        while ((i64)1 << bshift != block_bytes) bshift++;
+    counts[0] = ncov;
+    counts[1] = bilinears;
+    counts[2] = counts[3] = counts[4] = counts[5] = 0;
+    if (ncov == 0) return 0;
+
+    /* Scratch: the level table; bucket offsets; per covered lane its lane
+       id and probe count; bucket[] listing the covered lanes that take
+       probe p >= 1 (probe 0 is every covered lane); and per bucket
+       position the sample position, level rows and two corner lines. */
+    i64 levels = max_level + 1;
+    size_t bytes = (size_t)levels * sizeof(tc_level)
+                 + (size_t)(2 * max_probes + 1) * sizeof(i64)
+                 + (size_t)(2 * ncov + nbucket) * sizeof(i64)
+                 + (size_t)(2 * ncov) * sizeof(double)
+                 + (size_t)(4 * ncov) * sizeof(i64);
+    char *scratch = malloc(bytes);
+    if (scratch == NULL) return -2;
+    tc_level *tab = (tc_level *)scratch;
+    i64 *boff = (i64 *)(tab + levels);          /* max_probes + 1 */
+    i64 *cur = boff + max_probes + 1;           /* max_probes */
+    i64 *lane = cur + max_probes;               /* ncov */
+    i64 *lprobes = lane + ncov;                 /* ncov */
+    i64 *bucket = lprobes + ncov;               /* nbucket */
+    double *pu = (double *)(bucket + nbucket);  /* ncov */
+    double *pv = pu + ncov;                     /* ncov */
+    i64 *row0 = (i64 *)(pv + ncov);             /* ncov: step-0 level */
+    i64 *row1 = row0 + ncov;                    /* ncov: step-1 level or -1 */
+    i64 *la = row1 + ncov;                      /* ncov: -0.5 corner lines */
+    i64 *lb = la + ncov;                        /* ncov: +0.5 corner lines */
+
+    tc_lru C0, C1;
+    if (tc_init(&C0, l0_lines, l0_sizes, l0_nsets, l0_ways) != 0) {
+        free(scratch);
+        return -2;
     }
-    stampcache C0, C1;
-    tc_init(&C0, wline0, wstamp0, hkey0, hval0, hcap0,
-            l0_lines, l0_sizes, l0_nsets, l0_ways);
-    tc_init(&C1, wline1, wstamp1, hkey1, hval1, hcap1,
-            l1_lines, l1_sizes, l1_nsets, l1_ways);
-    for (i64 p = 0; p < max_probes; p++) bcount[p] = 0;
-    for (i64 i = 0; i < n; i++)
-        for (i64 p = 0; p < probes[i]; p++) bcount[p]++;
-    boff[0] = 0;
-    for (i64 p = 0; p < max_probes; p++) boff[p + 1] = boff[p] + bcount[p];
+    if (tc_init(&C1, l1_lines, l1_sizes, l1_nsets, l1_ways) != 0) {
+        free(C0.mem);
+        free(scratch);
+        return -2;
+    }
+
+    for (i64 lvl = 0; lvl < levels; lvl++) {
+        i64 cl = lvl > 30 ? 30 : lvl;
+        double pitch = ldexp(1.0, (int)lvl);
+        i64 w = width >> cl, h = height >> cl;
+        if (w < 1) w = 1;
+        if (h < 1) h = 1;
+        i64 oi = lvl < n_offsets - 1 ? lvl : n_offsets - 1;
+        tab[lvl].inv = 1.0 / pitch;
+        tab[lvl].half = 0.5 * pitch;
+        tab[lvl].w = w;
+        tab[lvl].h = h;
+        tab[lvl].wmask = (w & (w - 1)) == 0 ? w - 1 : -1;
+        tab[lvl].hmask = (h & (h - 1)) == 0 ? h - 1 : -1;
+        tab[lvl].off = base_address + mip_offsets[oi];
+    }
+
+    /* Compact the covered lanes and bucket them per probe index p >= 1
+       (ascending lane order within each bucket). */
+    for (i64 p = 0; p <= max_probes; p++) boff[p] = 0;
+    i64 k = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (covered != NULL && !covered[i]) continue;
+        lane[k] = i;
+        lprobes[k] = aniso ? (i64)ratio[i >> 2] : 1;
+        for (i64 p = 1; p < lprobes[k]; p++) boff[p + 1]++;
+        k++;
+    }
+    for (i64 p = 1; p < max_probes; p++) boff[p + 1] += boff[p];
     for (i64 p = 0; p < max_probes; p++) cur[p] = boff[p];
-    for (i64 i = 0; i < n; i++)
-        for (i64 p = 0; p < probes[i]; p++) bucket[cur[p]++] = i;
-    i64 emitted = 0, l0h = 0, l0m = 0, l1h = 0, l1m = 0;
+    for (k = 0; k < ncov; k++)
+        for (i64 p = 1; p < lprobes[k]; p++) bucket[cur[p]++] = k;
+
+    /* addr / block_bytes and the L1 line are shifts for power-of-two
+       sizes (addresses are nonnegative, so the shift is the quotient). */
+    int bshift = -1, l1shift = -1;
+    if (block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0)
+        for (bshift = 0; (i64)1 << bshift != block_bytes; bshift++) {}
+    if (l1_line_bytes > 0 && (l1_line_bytes & (l1_line_bytes - 1)) == 0)
+        for (l1shift = 0; (i64)1 << l1shift != l1_line_bytes; l1shift++) {}
+
+    i64 l0h = 0, l0m = 0, l1h = 0, l1m = 0, last = -1;
     for (i64 p = 0; p < max_probes; p++) {
-        const i64 *B = bucket + boff[p];
-        i64 bn = bcount[p];
-        /* The sample position depends on (probe, lane) only — compute it
-           once per probe instead of once per (step, corner) emission. */
-        for (i64 k = 0; k < bn; k++) {
-            i64 i = B[k];
-            double t = ((double)p + 0.5) / (double)probes[i] - 0.5;
-            tpu[i] = u[i] + t * du[i];
-            tpv[i] = v[i] + t * dv[i];
+        const i64 *B = p == 0 ? NULL : bucket + boff[p];
+        i64 bn = p == 0 ? ncov : boff[p + 1] - boff[p];
+        /* The sample position and level rows depend on (probe, lane)
+           only — computed once per probe, not per (step, corner). */
+        for (i64 j = 0; j < bn; j++) {
+            i64 c = B == NULL ? j : B[j];
+            i64 i = lane[c], q = i >> 2;
+            double t = ((double)p + 0.5) / (double)lprobes[c] - 0.5;
+            pu[j] = u[i] + t * du[q];
+            pv[j] = v[i] + t * dv[q];
+            i64 m0 = mip0[q];
+            row0[j] = m0;
+            row1[j] = trilinear && lod[q] > 0 && m0 < max_level ? m0 + 1 : -1;
         }
-        for (i64 step = 0; step < 2; step++) {
-            for (int c = 0; c < 2; c++) {
-                for (i64 k = 0; k < bn; k++) {
-                    i64 i = B[k];
-                    if (mips[i] <= step) continue;
-                    i64 is = i * 2 + step;
-                    double inv = hinv[is];
-                    double cu = c ? hhp[is] : -hhp[is];
-                    i64 w = hw[is], h = hh[is];
-                    i64 tx = (i64)floor((tpu[i] + cu) * inv);
-                    i64 ty = (i64)floor((tpv[i] + cu) * inv);
-                    if ((w & (w - 1)) == 0) { tx &= w - 1; }
-                    else { tx %= w; if (tx < 0) tx += w; }
-                    if ((h & (h - 1)) == 0) { ty &= h - 1; }
-                    else { ty %= h; if (ty < 0) ty += h; }
-                    uint64_t m = part16((uint64_t)(tx >> 2))
-                               | (part16((uint64_t)(ty >> 2)) << 1);
-                    i64 addr = hoff[is] + (i64)m * block_bytes;
-                    i64 l0_line = bshift >= 0 ? addr >> bshift
-                                              : addr / block_bytes;
-                    emitted++;
-                    if (tc_access(&C0, l0_line)) {
-                        l0h++;
-                    } else {
-                        l0m++;
-                        i64 l1_line = (l0_line * block_bytes) / l1_line_bytes;
-                        if (tc_access(&C1, l1_line))
-                            l1h++;
-                        else
-                            l1m++;
-                    }
+        for (int step = 0; step < 2; step++) {
+            const i64 *row = step ? row1 : row0;
+            i64 m = 0;
+            for (i64 j = 0; j < bn; j++) {
+                if (row[j] < 0) continue;
+                const tc_level *E = tab + row[j];
+                double x = pu[j], y = pv[j], hf = E->half, inv = E->inv;
+                i64 tx0 = tc_wrap(tc_floor((x - hf) * inv), E->wmask, E->w);
+                i64 ty0 = tc_wrap(tc_floor((y - hf) * inv), E->hmask, E->h);
+                i64 tx1 = tc_wrap(tc_floor((x + hf) * inv), E->wmask, E->w);
+                i64 ty1 = tc_wrap(tc_floor((y + hf) * inv), E->hmask, E->h);
+                uint64_t m0 = tc_part16((uint64_t)(tx0 >> 2))
+                            | (tc_part16((uint64_t)(ty0 >> 2)) << 1);
+                uint64_t m1 = tc_part16((uint64_t)(tx1 >> 2))
+                            | (tc_part16((uint64_t)(ty1 >> 2)) << 1);
+                i64 a0 = E->off + (i64)m0 * block_bytes;
+                i64 a1 = E->off + (i64)m1 * block_bytes;
+                la[m] = bshift >= 0 ? a0 >> bshift : a0 / block_bytes;
+                lb[m] = bshift >= 0 ? a1 >> bshift : a1 / block_bytes;
+                m++;
+            }
+            for (int corner = 0; corner < 2; corner++) {
+                const i64 *L = corner ? lb : la;
+                for (i64 j = 0; j < m; j++) {
+                    i64 line = L[j];
+                    if (line == last) { l0h++; continue; }
+                    last = line;
+                    if (tc_access(&C0, line)) { l0h++; continue; }
+                    l0m++;
+                    i64 byte = line * block_bytes;
+                    i64 l1_line = l1shift >= 0 ? byte >> l1shift
+                                               : byte / l1_line_bytes;
+                    if (tc_access(&C1, l1_line)) l1h++;
+                    else l1m++;
                 }
             }
         }
     }
     free(scratch);
-    free(iscratch);
     tc_export(&C0, l0_lines);
     tc_export(&C1, l1_lines);
-    counts[0] = emitted;
-    counts[1] = l0h;
-    counts[2] = l0m;
-    counts[3] = l1h;
-    counts[4] = l1m;
+    counts[2] = l0h;
+    counts[3] = l0m;
+    counts[4] = l1h;
+    counts[5] = l1m;
+    return 0;
 }
 
 /* Edge evaluation + coverage for candidate quads (the hot first half of
@@ -627,8 +739,13 @@ void bilinear(const float *mip, i64 h, i64 w, i64 nc,
 /* Multi-level bilinear fetch: TextureUnit._bilinear's per-unique-level
    loop in one pass over a flattened mip chain.  flat holds every RGBA
    float32 mip concatenated; offs[l]/hs[l]/ws[l] give mip l's texel offset
-   and extents.  Each lane's math is the bilinear kernel above verbatim
-   (lanes are independent, so fusing the levels changes nothing). */
+   and extents.  Each lane's result is the bilinear kernel above's, bit
+   for bit (lanes are independent, so fusing the levels changes nothing):
+   u / 2^level equals u * 2^-level exactly (both are the correctly
+   rounded value of the same real; 2^-level is built from its exponent
+   bits, a normal double for any level a mip chain can have), tc_floor
+   is floor, and a
+   power-of-two extent wraps with a mask exactly like the modulo. */
 void bilinear_levels(const float *flat, const i64 *offs,
                      const i64 *hs, const i64 *ws, i64 nlevels,
                      const double *u, const double *v,
@@ -640,17 +757,16 @@ void bilinear_levels(const float *flat, const i64 *offs,
         if (level >= nlevels) level = nlevels - 1;
         const float *mip = flat + offs[level] * 4;
         i64 h = hs[level], w = ws[level];
-        double scale = ldexp(1.0, (int)level);
-        double mu = u[i] / scale - 0.5;
-        double mv = v[i] / scale - 0.5;
-        double x0 = floor(mu), y0 = floor(mv);
-        double fx = mu - x0, fy = mv - y0;
+        union { uint64_t bits; double d; } inv = {(uint64_t)(1023 - level) << 52};
+        double mu = u[i] * inv.d - 0.5;
+        double mv = v[i] * inv.d - 0.5;
+        i64 xi = tc_floor(mu), yi = tc_floor(mv);
+        double fx = mu - (double)xi, fy = mv - (double)yi;
         double gx = 1.0 - fx, gy = 1.0 - fy;
-        i64 xi = (i64)x0, yi = (i64)y0;
-        i64 x0w = xi % w; if (x0w < 0) x0w += w;
-        i64 x1w = (xi + 1) % w; if (x1w < 0) x1w += w;
-        i64 y0w = yi % h; if (y0w < 0) y0w += h;
-        i64 y1w = (yi + 1) % h; if (y1w < 0) y1w += h;
+        i64 wm = (w & (w - 1)) == 0 ? w - 1 : -1;
+        i64 hm = (h & (h - 1)) == 0 ? h - 1 : -1;
+        i64 x0w = tc_wrap(xi, wm, w), x1w = tc_wrap(xi + 1, wm, w);
+        i64 y0w = tc_wrap(yi, hm, h), y1w = tc_wrap(yi + 1, hm, h);
         const float *p00 = mip + (y0w * w + x0w) * 4;
         const float *p10 = mip + (y0w * w + x1w) * 4;
         const float *p01 = mip + (y1w * w + x0w) * 4;
@@ -1123,16 +1239,15 @@ def _configure(lib: ctypes.CDLL) -> None:
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _I64P, _I64P, _I64P,
     ]
-    lib.texcache.restype = None
+    lib.texcache.restype = ctypes.c_int
     lib.texcache.argtypes = [
-        _F64P, _F64P, _F64P, _F64P,
-        _I64P, _I64P, _I64P, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _F64P, _F64P, ctypes.c_void_p, ctypes.c_int64,
+        _F64P, _I64P, _F64P, _F64P, _F64P,
+        ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _I64P, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64,
-        _I64P,
-        _I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64,
-        _I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64,
+        _I64P, _I64P, ctypes.c_int64, ctypes.c_int64,
+        _I64P, _I64P, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64,
         _I64P,
     ]
@@ -1279,50 +1394,74 @@ def lru_run(
 def texcache(
     u: np.ndarray,
     v: np.ndarray,
+    covered: np.ndarray | None,
+    lod: np.ndarray,
+    mip0: np.ndarray,
+    ratio: np.ndarray,
     du: np.ndarray,
     dv: np.ndarray,
-    mip0: np.ndarray,
-    probes: np.ndarray,
-    mips: np.ndarray,
-    max_probes: int,
+    filter_code: int,
     max_level: int,
     width: int,
     height: int,
     mip_offsets: np.ndarray,
     base_address: int,
     block_bytes: int,
-    bucket: np.ndarray,
-    l0_state: tuple[np.ndarray, np.ndarray, np.ndarray],
+    l0_state: tuple[np.ndarray, np.ndarray],
     l0_geometry: tuple[int, int],
-    l1_state: tuple[np.ndarray, np.ndarray, np.ndarray],
+    l1_state: tuple[np.ndarray, np.ndarray],
     l1_geometry: tuple[int, int],
     l1_line_bytes: int,
-) -> tuple[int, int, int, int, int] | None:
-    """Fused texture address generation + L0/L1 cache walk, in place.
+) -> tuple[int, int, int, int, int, int]:
+    """Texture-request pass: tallies, address generation, L0/L1 walk.
 
-    Returns ``(emitted, l0_hits, l0_misses, l1_hits, l1_misses)`` and
-    mutates both cache state triples, or ``None`` (state untouched) when
-    ``max_probes`` exceeds the kernel's bucket capacity.  ``bucket`` is
-    caller scratch of at least ``probes.sum()`` int64 entries.
+    ``u``/``v`` (float64) and ``covered`` (uint8, or ``None`` for every
+    lane) are per lane; ``lod``/``ratio``/``du``/``dv`` (float64) and
+    ``mip0`` (int64) per quad.  ``filter_code`` is 0 bilinear, 1 trilinear,
+    2 anisotropic.  Each cache state is its ``(lines, sizes)`` MRU-first
+    arrays, updated in place.  Returns ``(requests, bilinears, l0_hits,
+    l0_misses, l1_hits, l1_misses)``.  Raises :class:`ValueError` when a
+    covered lane's footprint is not finite (its mip level or probe count is
+    out of range); the state is then untouched.
     """
-    counts = np.zeros(5, dtype=np.int64)
-    _lib.texcache(
-        u, v, du, dv,
-        mip0, probes, mips, u.shape[0],
-        max_probes, max_level, width, height,
+    n = u.shape[0]
+    quads = (n // 4,)
+    if (
+        n % 4
+        or v.shape != (n,)
+        or any(a.shape != quads for a in (lod, mip0, ratio, du, dv))
+        or (covered is not None and (
+            covered.shape != (n,)
+            or covered.dtype != np.uint8
+            or not covered.flags.c_contiguous
+        ))
+        or mip_offsets.shape[0] < 1
+    ):
+        raise ValueError("texcache: lane or quad arrays of mismatched shape")
+    for (lines, sizes), (nsets, ways) in (
+        (l0_state, l0_geometry), (l1_state, l1_geometry),
+    ):
+        if lines.shape != (nsets * ways,) or sizes.shape != (nsets,):
+            raise ValueError("texcache: cache state does not match geometry")
+    counts = np.zeros(6, dtype=np.int64)
+    status = _lib.texcache(
+        u, v,
+        None if covered is None else covered.ctypes.data_as(ctypes.c_void_p),
+        n,
+        lod, mip0, ratio, du, dv,
+        filter_code, max_level, width, height,
         mip_offsets, mip_offsets.shape[0],
         base_address, block_bytes,
-        bucket,
-        l0_state[0], l0_state[1], l0_state[2],
-        l0_geometry[0], l0_geometry[1],
-        l1_state[0], l1_state[1], l1_state[2],
-        l1_geometry[0], l1_geometry[1],
+        l0_state[0], l0_state[1], l0_geometry[0], l0_geometry[1],
+        l1_state[0], l1_state[1], l1_geometry[0], l1_geometry[1],
         l1_line_bytes,
         counts,
     )
-    if counts[0] < 0:
-        return None
-    return tuple(int(v) for v in counts)  # type: ignore[return-value]
+    if status == -2:
+        raise MemoryError("texcache: out of memory")
+    if status != 0:
+        raise ValueError("texture footprint is not finite")
+    return tuple(int(c) for c in counts)  # type: ignore[return-value]
 
 
 def raster_edges(

@@ -605,6 +605,29 @@ class GpuSimulator:
         with obs_spans.span("gpu.stage.shade", "gpu"):
             self._shade_and_write(pending, fp, state, fstats, early_z)
 
+    def _run_fragment_program(
+        self,
+        fp: ShaderProgram,
+        v1: np.ndarray,
+        colors_in: np.ndarray,
+        coverage: np.ndarray,
+    ):
+        """Run the fragment program with the texture unit's lane mask set.
+
+        Returns the interpreter result and the draw's texture statistics.
+        The mask is cleared even when the program raises, so a failed draw
+        cannot leave a stale mask for the next sampler call.
+        """
+        self.texture_unit.set_coverage(coverage)
+        self.texture_unit.stats.reset()
+        try:
+            result = self.fragment_interp.run(
+                fp, inputs={1: v1, 2: colors_in}, count=v1.shape[0]
+            )
+        finally:
+            self.texture_unit.set_coverage(None)
+        return result, self.texture_unit.stats.reset()
+
     def _shade_and_write(
         self,
         pending: list[tuple[QuadBatch, np.ndarray]],
@@ -624,14 +647,9 @@ class GpuSimulator:
             v1 = np.zeros((n, 4))
             v1[:, :2] = uv
             v1[:, 3] = 1.0
-            self.texture_unit.set_coverage(all_alive)
-            tex_before = self.texture_unit.stats.reset()
-            del tex_before
-            result = self.fragment_interp.run(
-                fp, inputs={1: v1, 2: colors_in}, count=n
+            result, tex_stats = self._run_fragment_program(
+                fp, v1, colors_in, all_alive
             )
-            self.texture_unit.set_coverage(None)
-            tex_stats = self.texture_unit.stats.reset()
             shaded = int(all_alive.sum())
             fstats.fragments_shaded += shaded
             fstats.quads_shaded += sum(qb.quad_count for qb, _ in pending)
@@ -847,14 +865,9 @@ class GpuSimulator:
             v1 = np.zeros((n, 4))
             v1[:, :2] = uv
             v1[:, 3] = 1.0
-            self.texture_unit.set_coverage(all_alive)
-            tex_before = self.texture_unit.stats.reset()
-            del tex_before
-            result = self.fragment_interp.run(
-                fp, inputs={1: v1, 2: colors_in}, count=n
+            result, tex_stats = self._run_fragment_program(
+                fp, v1, colors_in, all_alive
             )
-            self.texture_unit.set_coverage(None)
-            tex_stats = self.texture_unit.stats.reset()
             shaded = int(all_alive.sum())
             fstats.fragments_shaded += shaded
             fstats.quads_shaded += stream.quad_count

@@ -130,6 +130,14 @@ class TextureSampleStats:
         return snap
 
 
+#: Filter selector of the compiled texture kernel.
+_FILTER_CODES = {
+    TextureFilter.BILINEAR: 0,
+    TextureFilter.TRILINEAR: 1,
+    TextureFilter.ANISOTROPIC: 2,
+}
+
+
 class TextureUnit:
     """Sampler backend for the fragment interpreter plus cache/BW model."""
 
@@ -203,36 +211,26 @@ class TextureUnit:
         resource = self._resources[name]
         if n % 4:
             raise ValueError("texture coords must be quad-aligned (N % 4 == 0)")
+        if self._coverage is not None and self._coverage.shape != (n,):
+            raise ValueError(
+                f"coverage mask of shape {self._coverage.shape} does not "
+                f"match {n} lanes"
+            )
         u = coords[:, 0] * resource.width
         v = coords[:, 1] * resource.height
 
         lod, ratio, major_du, major_dv = self._footprint(u, v, resource)
-        covered = (
-            self._coverage
-            if self._coverage is not None
-            else np.ones(n, dtype=bool)
-        )
-
         mip0 = np.floor(lod).astype(np.int64)
-        trilinear = self._filter in (
-            TextureFilter.TRILINEAR,
-            TextureFilter.ANISOTROPIC,
-        )
-        mip_count = np.where(trilinear & (lod > 0) & (mip0 < resource.levels - 1), 2, 1)
-        probes = ratio if self._filter is TextureFilter.ANISOTROPIC else np.ones_like(ratio)
-        bilinears = probes * mip_count
-
-        self.stats.requests += int(covered.sum())
-        self.stats.bilinear_samples += int(bilinears[covered].sum())
-
         self._simulate_cache(
-            resource, u, v, mip0, probes, mip_count, major_du, major_dv, covered
+            resource, u, v, lod, mip0, ratio, major_du, major_dv
         )
-        return self._bilinear(resource, u, v, mip0).astype(np.float64)
+        return self._bilinear(resource, u, v, np.repeat(mip0, 4)).astype(
+            np.float64
+        )
 
     # -- internals -----------------------------------------------------------
     def _footprint(self, u: np.ndarray, v: np.ndarray, resource: TextureResource):
-        """Per-quad LOD and anisotropy from lane derivatives (broadcast to lanes)."""
+        """Per-quad LOD, anisotropy ratio and major axis from lane derivatives."""
         q = u.shape[0] // 4
         uq = u.reshape(q, 4)
         vq = v.reshape(q, 4)
@@ -256,92 +254,134 @@ class TextureUnit:
         x_major = lx >= ly
         major_du = np.where(x_major, dudx, dudy)
         major_dv = np.where(x_major, dvdx, dvdy)
-
-        def lanes(a: np.ndarray) -> np.ndarray:
-            return np.repeat(a, 4)
-
-        return lanes(lod), lanes(ratio), lanes(major_du), lanes(major_dv)
+        return lod, ratio, major_du, major_dv
 
     def _simulate_cache(
         self,
         resource: TextureResource,
         u: np.ndarray,
         v: np.ndarray,
+        lod: np.ndarray,
         mip0: np.ndarray,
-        probes: np.ndarray,
-        mip_count: np.ndarray,
+        ratio: np.ndarray,
         major_du: np.ndarray,
         major_dv: np.ndarray,
-        covered: np.ndarray,
     ) -> None:
-        """Generate the L0/L1/memory reference stream for covered lanes."""
-        if not covered.any():
-            return
+        """Tally the covered lanes' requests and bilinear probes and run
+        their reference stream through L0 → L1 → memory.
+
+        ``u``/``v`` are per lane; the footprint arrays are per quad.
+        """
         mip_offsets = self._mip_offsets.get(resource.name)
         if mip_offsets is None:
             mip_offsets = np.asarray(resource.mip_block_offsets(), dtype=np.int64)
             self._mip_offsets[resource.name] = mip_offsets
-        max_probes = int(probes[covered].max())
-        u_c = u[covered]
-        v_c = v[covered]
-        mip0_c = mip0[covered]
-        probes_c = probes[covered]
-        mips_c = mip_count[covered]
-        du_c = major_du[covered]
-        dv_c = major_dv[covered]
-        block_bytes = resource.format.block_bytes
-        if _native.available() and u_c.dtype == np.float64 and max_probes <= 64:
-            # One fused pass: the kernel generates the probe-major reference
-            # stream (bit-identical addresses to the numpy construction
-            # below) and walks it through the L0 and L1 LRU state inline,
-            # without materializing any intermediate.  The raw walk counts
-            # exactly what the collapse passes in ``access_stream`` count:
-            # those passes only drop guaranteed hits, which the walk scores
-            # as hits anyway, and leave the same final LRU contents.
-            mip0_i = np.ascontiguousarray(mip0_c, dtype=np.int64)
-            probes_i = np.ascontiguousarray(probes_c, dtype=np.int64)
-            mips_i = np.ascontiguousarray(mips_c, dtype=np.int64)
-            bucket = np.empty(max(int(probes_i.sum()), 1), dtype=np.int64)
-            l0_state = self.l0._export_state()
-            l1_state = self.l1._export_state()
-            counts = _native.texcache(
-                np.ascontiguousarray(u_c),
-                np.ascontiguousarray(v_c),
-                np.ascontiguousarray(du_c, dtype=np.float64),
-                np.ascontiguousarray(dv_c, dtype=np.float64),
-                mip0_i,
-                probes_i,
-                mips_i,
-                max_probes,
+        if not _native.available():
+            self._simulate_cache_numpy(
+                resource, u, v, lod, mip0, ratio, major_du, major_dv, mip_offsets
+            )
+            return
+        # One compiled pass over every lane: compaction, tallies, the
+        # probe-major reference stream (bit-identical addresses to the
+        # numpy walk below) and both LRU walks.  The raw walk counts
+        # exactly what the collapse passes in ``access_stream`` count:
+        # those passes only drop guaranteed hits, which the walk scores as
+        # hits anyway, and leave the same final LRU contents.
+        covered = self._coverage
+        if covered is not None:
+            covered = np.ascontiguousarray(covered, dtype=bool).view(np.uint8)
+        l0_lines, l0_dirty, l0_sizes = self.l0._export_state()
+        l1_lines, l1_dirty, l1_sizes = self.l1._export_state()
+        f64 = np.float64
+        requests, bilinears, l0_hits, l0_misses, l1_hits, l1_misses = (
+            _native.texcache(
+                np.ascontiguousarray(u, dtype=f64),
+                np.ascontiguousarray(v, dtype=f64),
+                covered,
+                np.ascontiguousarray(lod, dtype=f64),
+                mip0,
+                np.ascontiguousarray(ratio, dtype=f64),
+                np.ascontiguousarray(major_du, dtype=f64),
+                np.ascontiguousarray(major_dv, dtype=f64),
+                _FILTER_CODES[self._filter],
                 resource.levels - 1,
                 resource.width,
                 resource.height,
                 mip_offsets,
                 resource.base_address,
-                block_bytes,
-                bucket,
-                l0_state,
+                resource.format.block_bytes,
+                (l0_lines, l0_sizes),
                 (self.l0._nsets, self.l0._ways),
-                l1_state,
+                (l1_lines, l1_sizes),
                 (self.l1._nsets, self.l1._ways),
                 self.config.texture_l1.line_bytes,
             )
-            if counts is not None:
-                emitted, l0_hits, l0_misses, l1_hits, l1_misses = counts
-                self.l0._import_state(*l0_state)
-                self.l1._import_state(*l1_state)
-                self.l0.accesses += emitted
-                self.l0.hits += l0_hits
-                self.l0.misses += l0_misses
-                self.l1.accesses += l0_misses
-                self.l1.hits += l1_hits
-                self.l1.misses += l1_misses
-                if l1_misses:
-                    self.memory.read(
-                        MemClient.TEXTURE,
-                        l1_misses * self.config.texture_l1.line_bytes,
-                    )
-                return
+        )
+        self.stats.requests += requests
+        self.stats.bilinear_samples += bilinears
+        if l0_hits + l0_misses == 0:
+            return
+        self.l0._import_state(l0_lines, l0_dirty, l0_sizes)
+        self.l1._import_state(l1_lines, l1_dirty, l1_sizes)
+        self.l0.accesses += l0_hits + l0_misses
+        self.l0.hits += l0_hits
+        self.l0.misses += l0_misses
+        self.l1.accesses += l0_misses
+        self.l1.hits += l1_hits
+        self.l1.misses += l1_misses
+        if l1_misses:
+            self.memory.read(
+                MemClient.TEXTURE,
+                l1_misses * self.config.texture_l1.line_bytes,
+            )
+
+    def _simulate_cache_numpy(
+        self,
+        resource: TextureResource,
+        u: np.ndarray,
+        v: np.ndarray,
+        lod: np.ndarray,
+        mip0: np.ndarray,
+        ratio: np.ndarray,
+        major_du: np.ndarray,
+        major_dv: np.ndarray,
+        mip_offsets: np.ndarray,
+    ) -> None:
+        """Reference construction of :meth:`_simulate_cache` in numpy.
+
+        Builds the probe-major L0 reference stream explicitly and runs it
+        through :class:`Cache` — the model the compiled kernel reproduces.
+        """
+        n = u.shape[0]
+        covered = (
+            self._coverage
+            if self._coverage is not None
+            else np.ones(n, dtype=bool)
+        )
+        trilinear = self._filter in (
+            TextureFilter.TRILINEAR,
+            TextureFilter.ANISOTROPIC,
+        )
+        mip_count = np.where(
+            trilinear & (lod > 0) & (mip0 < resource.levels - 1), 2, 1
+        )
+        probes = (
+            ratio if self._filter is TextureFilter.ANISOTROPIC else np.ones_like(ratio)
+        )
+        bilinears = np.repeat(probes * mip_count, 4)
+        self.stats.requests += int(covered.sum())
+        self.stats.bilinear_samples += int(bilinears[covered].sum())
+        if not covered.any():
+            return
+        probes_c = np.repeat(probes, 4)[covered]
+        max_probes = int(probes_c.max())
+        u_c = u[covered]
+        v_c = v[covered]
+        mip0_c = np.repeat(mip0, 4)[covered]
+        mips_c = np.repeat(mip_count, 4)[covered]
+        du_c = np.repeat(major_du, 4)[covered]
+        dv_c = np.repeat(major_dv, 4)[covered]
+        block_bytes = resource.format.block_bytes
         # The reference stream is probe-major: probe p of every lane that has
         # one (lane order), then probe p+1, ...  Materialize that (p, lane)
         # pair order once up front so every per-lane array is gathered a
@@ -448,30 +488,6 @@ class TextureUnit:
                 MemClient.TEXTURE,
                 l1_result.misses * self.config.texture_l1.line_bytes,
             )
-
-    def _block_byte_addr(
-        self,
-        resource: TextureResource,
-        u: np.ndarray,
-        v: np.ndarray,
-        level: np.ndarray,
-        mip_offsets: np.ndarray,
-    ) -> np.ndarray:
-        """Compressed byte address of the 4x4 block holding texel (u, v).
-
-        (u, v) are base-mip texel units; blocks are Morton-laid within each
-        mip for 2D locality in the compressed address space.
-        """
-        scale = np.power(2.0, level.astype(np.float64))
-        w = np.maximum(resource.width >> np.minimum(level, 30), 1)
-        h = np.maximum(resource.height >> np.minimum(level, 30), 1)
-        tx = np.floor(u / scale).astype(np.int64) % w
-        ty = np.floor(v / scale).astype(np.int64) % h
-        bx = tx // 4
-        by = ty // 4
-        block = morton2d(bx.astype(np.uint64), by.astype(np.uint64)).astype(np.int64)
-        offs = np.asarray(mip_offsets, dtype=np.int64)[np.minimum(level, len(mip_offsets) - 1)]
-        return resource.base_address + offs + block * resource.format.block_bytes
 
     def _flat_mips(
         self, resource: TextureResource

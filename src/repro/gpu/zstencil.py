@@ -235,8 +235,11 @@ class ZStencilStage:
         ``z_block_compressible`` against the *end-of-draw* z contents rather
         than the mid-draw contents the per-triangle path would see, which
         can flip a writeback between compressed and raw size.  This affects
-        only z memory byte totals (~0.4% observed), never hit/miss counts,
-        statistics, quad fates, or framebuffer contents.
+        only z memory byte totals, never hit/miss counts, statistics, quad
+        fates, or framebuffer contents — but the byte gap is not small: on
+        UT2004 frame 1 at 1024x768 (R520) this path moves 914,688 fewer
+        Z&Stencil bytes than the per-triangle oracle (8,568,704 against
+        9,483,392, -9.6%; hostbench's ``gpu.mem.zstencil.bytes_vs_oracle``).
         """
         fb = self.fb
         bx, by = fb.quad_block_coords(qx, qy)

@@ -1,5 +1,7 @@
 """Tests for the vertex stage and the full pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,46 @@ class TestVertexStage:
             stage.process(
                 mesh, Draw("g", PrimitiveType.TRIANGLE_LIST, 6), None, {}
             )
+
+
+class TestShaderErrorRecovery:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_sampler_error_clears_texture_coverage(self, vectorized):
+        """A fragment program that raises mid-draw must not leave the
+        texture unit's lane mask set for the next sampler call."""
+        mesh, vp, fp, tex = simple_scene()
+        config = dataclasses.replace(
+            GpuConfig(width=W, height=H), vectorized=vectorized
+        )
+        meta = TraceMeta("t", GraphicsApi.OPENGL, 1, width=W, height=H)
+        trace = Trace(meta, [Frame(0, frame_calls(mesh))])
+
+        def simulator():
+            return GpuSimulator(
+                config, {mesh.name: mesh}, {"vp": vp, "fp": fp}, [tex]
+            )
+
+        def failing_sampler(unit, coords):
+            raise RuntimeError("injected sampler fault")
+
+        sim = simulator()
+        sim.fragment_interp._sampler = failing_sampler
+        with pytest.raises(RuntimeError, match="injected sampler fault"):
+            sim.run_trace(trace)
+        assert sim.texture_unit._coverage is None
+
+        # A direct one-quad sampler call sees all four lanes (a stale mask
+        # would be sized for the failed draw and refuse the call).
+        sim.texture_unit.stats.reset()
+        sim.texture_unit(0, np.tile([0.25, 0.25, 0.0, 1.0], (4, 1)))
+        assert sim.texture_unit.stats.reset().requests == 4
+
+        # A clean draw on the recovered simulator matches a fresh one.
+        sim.fragment_interp._sampler = sim.texture_unit
+        recovered = sim.run_trace(trace).stats
+        fresh = simulator().run_trace(trace).stats
+        assert recovered.texture_requests == fresh.texture_requests > 0
+        assert recovered.bilinear_samples == fresh.bilinear_samples
 
 
 class TestPipelineBasics:

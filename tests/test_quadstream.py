@@ -1,7 +1,7 @@
 """QuadStream equivalence: the draw-level vectorized path and the optional
 compiled kernels must match the per-triangle pure-Python reference bit for
-bit — same per-frame stats, quad fates, cache counters, and framebuffer
-contents on every simulated engine."""
+bit — same per-frame stats, quad fates, cache counters, per-client memory
+bytes, and framebuffer contents on every simulated engine."""
 
 import dataclasses
 import functools
@@ -14,6 +14,7 @@ import repro
 from repro.gpu import _native
 from repro.gpu.clipper import ScreenTriangles
 from repro.gpu.rasterizer import rasterize_draw
+from repro.gpu.stats import MemClient
 from repro.workloads import build_workload
 
 ENGINES = ["UT2004/Primeval", "Doom3/trdemo2", "Quake4/demo4"]
@@ -28,19 +29,26 @@ def _simulate(name: str, vectorized: bool):
     return sim, result
 
 
-@functools.lru_cache(maxsize=None)
-def _run(name: str, vectorized: bool):
-    """One simulation per (engine, path), shared across the test cases."""
-    sim, result = _simulate(name, vectorized)
+def _fingerprint(sim, result) -> dict:
     return {
         "frame_stats": [dataclasses.asdict(fs) for fs in result.frame_stats],
         "quad_fates": [dict(fs.quad_fates) for fs in result.frame_stats],
         "caches": {
-            cname: (cache.hits, cache.misses)
+            cname: (cache.hits, cache.misses, cache.accesses)
             for cname, cache in result.caches.items()
+        },
+        "memory": {
+            client: (result.memory.reads[client], result.memory.writes[client])
+            for client in MemClient
         },
         "fb": _fb_hash(sim.fb),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name: str, vectorized: bool):
+    """One simulation per (engine, path), shared across the test cases."""
+    return _fingerprint(*_simulate(name, vectorized))
 
 
 def _fb_hash(fb) -> str:
@@ -58,23 +66,40 @@ def test_quadstream_matches_per_triangle(name):
     assert stream["frame_stats"] == classic["frame_stats"]
     assert stream["quad_fates"] == classic["quad_fates"]
     assert stream["caches"] == classic["caches"]
+    for client in MemClient:
+        if client is not MemClient.ZSTENCIL:  # see the xfail test below
+            assert stream["memory"][client] == classic["memory"][client], client
     assert stream["fb"] == classic["fb"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP 'Make memory traffic exact on the fast paths': the "
+        "QuadStream path probes z-block compressibility at dirty "
+        "evictions against end-of-draw z contents, so its Z&Stencil "
+        "bytes differ from the per-triangle oracle"
+    ),
+)
+@pytest.mark.parametrize("name", ENGINES)
+def test_quadstream_zstencil_bytes_match_per_triangle(name):
+    stream = _run(name, True)
+    classic = _run(name, False)
+    assert (
+        stream["memory"][MemClient.ZSTENCIL]
+        == classic["memory"][MemClient.ZSTENCIL]
+    )
 
 
 def test_native_kernels_match_python(monkeypatch):
     """The compiled kernels are a pure accelerator: forcing the Python
-    fallbacks must reproduce the identical simulation."""
+    fallbacks must reproduce the identical simulation, memory bytes and
+    framebuffer included."""
     name = ENGINES[0]
     with_native = _run(name, True)
     monkeypatch.setattr(_native, "available", lambda: False)
-    _, result = _simulate(name, True)
-    assert [
-        dataclasses.asdict(fs) for fs in result.frame_stats
-    ] == with_native["frame_stats"]
-    assert {
-        cname: (cache.hits, cache.misses)
-        for cname, cache in result.caches.items()
-    } == with_native["caches"]
+    without = _fingerprint(*_simulate(name, True))
+    assert without == with_native
 
 
 def _random_triangles(count: int, seed: int = 7) -> ScreenTriangles:
